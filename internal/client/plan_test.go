@@ -252,9 +252,9 @@ func TestPlanConsumerCombined(t *testing.T) {
 	}
 }
 
-// TestPlanLegacyPathUnchanged: a plan that uses neither Streams nor Stats
-// must execute over the original StatRange path (no AggRange on the wire)
-// and return identical results.
+// TestPlanLegacyPathUnchanged: the untyped single-stream query shape (a
+// plan that uses neither Streams nor Stats) runs as a one-member AggRange
+// plan and returns exactly what StatSeries returns.
 func TestPlanLegacyPathUnchanged(t *testing.T) {
 	engine := newWriterEngine(t)
 	seen := &msgRecorder{inner: engine}
@@ -284,11 +284,11 @@ func TestPlanLegacyPathUnchanged(t *testing.T) {
 			t.Errorf("window %d: %+v != %+v", i, got[i], want[i])
 		}
 	}
-	if seen.count(wire.TAggRange) != 0 {
-		t.Error("legacy single-stream query used AggRange")
+	if seen.count(wire.TAggRange) == 0 {
+		t.Error("untyped single-stream query issued no AggRange")
 	}
-	if seen.count(wire.TStatRange) == 0 {
-		t.Error("legacy single-stream query issued no StatRange")
+	if seen.count(wire.TStatRange) != 0 {
+		t.Error("untyped single-stream query used StatRange")
 	}
 }
 

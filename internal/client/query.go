@@ -88,13 +88,11 @@ func (cs *ConsumerStream) queryMember() member {
 // per-window digests across every member before responding, so a whole
 // population aggregates in one round trip per page. Stats selects typed
 // statistics; the plan then fetches (and decrypts) only the digest
-// elements those statistics need. A plan that uses neither is the
-// degenerate single-stream query and executes exactly as it always has,
-// yielding the monolithic StatResult.
+// elements those statistics need. A plan that uses neither is a
+// one-member plan over every statistic the digest carries.
 type QueryBuilder struct {
 	members []member
 	stats   chunk.StatSet
-	typed   bool // Streams or Stats was called: execute as a typed plan
 	ts, te  int64
 	window  uint64
 	page    int
@@ -125,7 +123,6 @@ func (cs *ConsumerStream) Query() *QueryBuilder {
 // access to all streams involved). The plan executes over the anchor
 // stream's transport.
 func (q *QueryBuilder) Streams(more ...Queryable) *QueryBuilder {
-	q.typed = true
 	for _, s := range more {
 		if s == nil {
 			q.err = fmt.Errorf("client: nil stream in query plan")
@@ -146,11 +143,10 @@ func (q *QueryBuilder) Streams(more ...Queryable) *QueryBuilder {
 // Stats selects the typed statistics the plan answers; the server projects
 // the encrypted aggregates down to the digest elements those statistics
 // need, so nothing else is shipped or decrypted. With no arguments the
-// plan stays typed but carries every statistic the stream's digest
-// supports. Selecting a statistic the digest cannot answer (e.g. Var on a
-// sum-only stream) fails at iteration.
+// plan carries every statistic the stream's digest supports. Selecting a
+// statistic the digest cannot answer (e.g. Var on a sum-only stream)
+// fails at iteration.
 func (q *QueryBuilder) Stats(stats ...Stat) *QueryBuilder {
-	q.typed = true
 	q.stats |= chunk.NewStatSet(stats...)
 	return q
 }
@@ -262,13 +258,12 @@ func (a Agg) statResult() StatResult {
 // Cursor pages the windows of a statistical query lazily, decrypting one
 // page at a time and handing them out one window per Next. On a
 // multiplexed transport (Streamer) it opens a server-push stream
-// (wire.QueryStream, or wire.AggRange with PageWindows for typed plans)
-// and the server pushes successive pages tagged with the cursor's
-// correlation ID — no per-page round trip; on serialized transports each
-// page is one round trip. The iteration bound is pinned to the streams'
-// ingest progress at first use (one batched round trip for multi-stream
-// plans), so a cursor sees a consistent prefix even while ingest
-// continues.
+// (wire.AggRange with PageWindows) and the server pushes successive pages
+// tagged with the cursor's correlation ID — no per-page round trip; on
+// serialized transports each page is one round trip. The iteration bound
+// is pinned to the streams' ingest progress at first use (one batched
+// round trip for multi-stream plans), so a cursor sees a consistent
+// prefix even while ingest continues.
 type Cursor struct {
 	ctx context.Context
 	q   *QueryBuilder
@@ -277,10 +272,6 @@ type Cursor struct {
 	done    bool
 	err     error
 
-	// Legacy single-stream path.
-	dec windowDecrypter
-
-	// Typed plan path.
 	decs  []elemDecrypter
 	elems []uint32 // projection; nil = full vectors
 	avail chunk.StatSet
@@ -336,9 +327,10 @@ func (c *Cursor) Agg() Agg { return c.page[c.pos] }
 // returns nil.
 func (c *Cursor) Err() error { return c.err }
 
-// start pins the iteration bounds and resolves decrypters: scalar queries
-// resolve to a single aggregate; windowed queries read the streams' ingest
-// progress once and page over the window grid.
+// start validates the plan (member geometry, stat-mask projection),
+// resolves one decrypter per member and pins the iteration bounds: scalar
+// queries resolve to a single aggregate; windowed queries read the
+// streams' ingest progress once and page over the window grid.
 func (c *Cursor) start() {
 	c.started = true
 	c.pos = -1
@@ -346,68 +338,6 @@ func (c *Cursor) start() {
 		c.err = c.q.err
 		return
 	}
-	if c.q.typed || len(c.q.members) > 1 {
-		c.startPlan()
-		return
-	}
-	c.startLegacy()
-}
-
-// startLegacy is the degenerate one-stream, untyped plan: the exact
-// StatRange/QueryStream execution path this API has always had.
-func (c *Cursor) startLegacy() {
-	q := c.q
-	m := q.members[0]
-	dec, err := m.decFor(c.ctx, q.window)
-	if err != nil {
-		c.err = err
-		return
-	}
-	c.dec = dec
-	v := m.v
-	if q.window == 0 {
-		res, err := v.statRange(c.ctx, dec, q.ts, q.te)
-		if err != nil {
-			c.err = err
-			return
-		}
-		c.page = []Agg{legacyAgg(res, v.spec.AllStats())}
-		c.done = true
-		return
-	}
-	if q.te <= q.ts {
-		c.err = fmt.Errorf("client: empty query range [%d,%d)", q.ts, q.te)
-		return
-	}
-	info, err := call[*wire.StreamInfoResp](c.ctx, v.t, &wire.StreamInfo{UUID: v.uuid})
-	if err != nil {
-		c.err = err
-		return
-	}
-	if !c.pinBounds(v, info.Count) {
-		return
-	}
-	if st, ok := v.t.(Streamer); ok {
-		// Multiplexed transport: one QueryStream request, the server
-		// pushes every page. The grid-aligned range is sent verbatim.
-		stream, err := st.Stream(c.ctx, &wire.QueryStream{
-			UUID:         v.uuid,
-			Ts:           v.chunkStart(c.next),
-			Te:           v.chunkStart(c.end),
-			WindowChunks: q.window,
-			PageWindows:  uint32(c.pageWindows()),
-		})
-		if err != nil {
-			c.err = err
-			return
-		}
-		c.setStream(stream)
-	}
-}
-
-// startPlan executes a typed plan: geometry validation across members,
-// stat-mask projection, per-member decrypters, and AggRange execution.
-func (c *Cursor) startPlan() {
 	q := c.q
 	anchor := q.members[0].v
 	spec := anchor.spec
@@ -634,29 +564,20 @@ func (c *Cursor) fetch() {
 	if hi > c.end {
 		hi = c.end
 	}
-	if c.decs != nil {
-		resp, err := call[*wire.AggRangeResp](c.ctx, v.t, &wire.AggRange{
-			UUIDs: c.planUUIDs(), Ts: v.chunkStart(c.next), Te: v.chunkStart(hi),
-			WindowChunks: q.window, Elems: c.elems,
-		})
-		if err != nil {
-			c.err = err
-			return
-		}
-		page, err := c.decodeAggPage(resp, q.window)
-		if err != nil {
-			c.err = err
-			return
-		}
-		c.page = page
-	} else {
-		res, err := v.statSeries(c.ctx, c.dec, v.chunkStart(c.next), v.chunkStart(hi), q.window)
-		if err != nil {
-			c.err = err
-			return
-		}
-		c.page = legacyAggs(res, v.spec.AllStats())
+	resp, err := call[*wire.AggRangeResp](c.ctx, v.t, &wire.AggRange{
+		UUIDs: c.planUUIDs(), Ts: v.chunkStart(c.next), Te: v.chunkStart(hi),
+		WindowChunks: q.window, Elems: c.elems,
+	})
+	if err != nil {
+		c.err = err
+		return
 	}
+	page, err := c.decodeAggPage(resp, q.window)
+	if err != nil {
+		c.err = err
+		return
+	}
+	c.page = page
 	c.pos = 0
 	c.next = hi
 	if c.next >= c.end {
@@ -666,8 +587,6 @@ func (c *Cursor) fetch() {
 
 // fetchStreamed consumes one server-pushed page.
 func (c *Cursor) fetchStreamed() {
-	q := c.q
-	v := q.members[0].v
 	msg, err := c.stream.Recv()
 	if err != nil {
 		if err == io.EOF {
@@ -677,35 +596,19 @@ func (c *Cursor) fetchStreamed() {
 		c.err = err
 		return
 	}
-	if c.decs != nil {
-		page, ok := msg.(*wire.AggRangeResp)
-		if !ok {
-			c.err = fmt.Errorf("client: unexpected stream page %T", msg)
-			c.stream.Close()
-			return
-		}
-		res, err := c.decodeAggPage(page, q.window)
-		if err != nil {
-			c.err = err
-			c.stream.Close()
-			return
-		}
-		c.page = res
-	} else {
-		page, ok := msg.(*wire.StatRangeResp)
-		if !ok {
-			c.err = fmt.Errorf("client: unexpected stream page %T", msg)
-			c.stream.Close()
-			return
-		}
-		res, err := v.decodeWindows(c.dec, page, q.window)
-		if err != nil {
-			c.err = err
-			c.stream.Close()
-			return
-		}
-		c.page = legacyAggs(res, v.spec.AllStats())
+	page, ok := msg.(*wire.AggRangeResp)
+	if !ok {
+		c.err = fmt.Errorf("client: unexpected stream page %T", msg)
+		c.stream.Close()
+		return
 	}
+	res, err := c.decodeAggPage(page, c.q.window)
+	if err != nil {
+		c.err = err
+		c.stream.Close()
+		return
+	}
+	c.page = res
 	c.pos = 0
 }
 
@@ -756,23 +659,6 @@ func (c *Cursor) decodeAggPage(resp *wire.AggRangeResp, windowChunks uint64) ([]
 		})
 	}
 	return out, nil
-}
-
-// legacyAgg wraps a monolithic StatResult as a single-stream aggregate.
-func legacyAgg(r StatResult, avail chunk.StatSet) Agg {
-	return Agg{
-		Start: r.Start, End: r.End,
-		FromChunk: r.FromChunk, ToChunk: r.ToChunk,
-		StreamCount: 1, res: r.Result, avail: avail,
-	}
-}
-
-func legacyAggs(rs []StatResult, avail chunk.StatSet) []Agg {
-	out := make([]Agg, len(rs))
-	for i, r := range rs {
-		out[i] = legacyAgg(r, avail)
-	}
-	return out
 }
 
 // isClosed reports whether Close ended the cursor.

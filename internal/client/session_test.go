@@ -512,7 +512,7 @@ func TestSessionTruncatedStreamEnvelope(t *testing.T) {
 	addr := hostileServer(t, func(conn net.Conn, id uint64, _ wire.Message) bool {
 		// One valid page, then a frame header promising more bytes than
 		// ever arrive.
-		wire.WriteResponse(conn, id, true, &wire.StatRangeResp{FromChunk: 0, ToChunk: 2, Windows: [][]uint64{{1, 2}}})
+		wire.WriteResponse(conn, id, true, &wire.AggRangeResp{FromChunk: 0, ToChunk: 2, StreamCount: 1, Windows: [][]uint64{{1, 2}}})
 		conn.Write([]byte{0x00, 0x00, 0x01, 0x00, 0xAA})
 		conn.Close()
 		return false
@@ -524,7 +524,7 @@ func TestSessionTruncatedStreamEnvelope(t *testing.T) {
 	defer sess.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	st, err := sess.Stream(ctx, &wire.QueryStream{UUID: "s", Ts: 0, Te: 1000, WindowChunks: 1})
+	st, err := sess.Stream(ctx, &wire.AggRange{UUIDs: []string{"s"}, Ts: 0, Te: 1000, WindowChunks: 1, PageWindows: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

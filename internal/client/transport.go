@@ -36,7 +36,8 @@ type Doer interface {
 }
 
 // Streamer is the streamed-response face of a multiplexed transport: the
-// server pushes successive frames for one request (wire.QueryStream). The
+// server pushes successive frames for one request (e.g. a wire.AggRange
+// with PageWindows). The
 // query cursor type-asserts it and falls back to per-page round trips.
 type Streamer interface {
 	Stream(ctx context.Context, req wire.Message) (*Stream, error)

@@ -125,12 +125,6 @@ func (v *view) statSeries(ctx context.Context, dec windowDecrypter, ts, te int64
 	if err != nil {
 		return nil, err
 	}
-	return v.decodeWindows(dec, resp, windowChunks)
-}
-
-// decodeWindows decrypts and interprets every window of one StatRangeResp
-// (a full windowed response, or one pushed page of a streamed query).
-func (v *view) decodeWindows(dec windowDecrypter, resp *wire.StatRangeResp, windowChunks uint64) ([]StatResult, error) {
 	out := make([]StatResult, 0, len(resp.Windows))
 	for w, vec := range resp.Windows {
 		i := resp.FromChunk + uint64(w)*windowChunks

@@ -408,9 +408,16 @@ func runPartitionWindow(t *testing.T, quorum bool) (ackedCut, lost []uint64) {
 		}
 	}
 
-	// The majority side elects b while the old leader is still cut off.
-	if ack, ok := b.node.Handle(ctx, &wire.Promote{
-		Epoch: 2, Leader: b.addr, Members: []string{a.addr, b.addr, c.addr},
+	// The majority side elects its more advanced member while the old
+	// leader is still cut off, as Router failover does: a quorum ack
+	// needs only one follower, so the other may lag behind acked writes.
+	next := b
+	_, _, wb := b.node.Status()
+	if _, _, wc := c.node.Status(); wc > wb {
+		next = c
+	}
+	if ack, ok := next.node.Handle(ctx, &wire.Promote{
+		Epoch: 2, Leader: next.addr, Members: []string{a.addr, b.addr, c.addr},
 	}).(*wire.ReplAck); !ok || ack.Epoch != 2 {
 		t.Fatalf("Promote -> %#v", ack)
 	}
@@ -419,10 +426,10 @@ func runPartitionWindow(t *testing.T, quorum bool) (ackedCut, lost []uint64) {
 	waitUntil(t, "ex-leader rejoined after heal", func() bool {
 		role, epoch, _ := a.node.Status()
 		return role == wire.ReplFollower && epoch >= 2 &&
-			bytes.Equal(statB(t, a.node, "s", 800), statB(t, b.node, "s", 800))
+			bytes.Equal(statB(t, a.node, "s", 800), statB(t, next.node, "s", 800))
 	})
 
-	info, ok := b.node.Handle(ctx, &wire.StreamInfo{UUID: "s"}).(*wire.StreamInfoResp)
+	info, ok := next.node.Handle(ctx, &wire.StreamInfo{UUID: "s"}).(*wire.StreamInfoResp)
 	if !ok {
 		t.Fatalf("StreamInfo on the new leader failed")
 	}
@@ -450,7 +457,7 @@ func runPartitionWindow(t *testing.T, quorum bool) (ackedCut, lost []uint64) {
 			t.Fatalf("control InsertChunk(%d) -> %#v", i, resp)
 		}
 	}
-	if quorum && !bytes.Equal(statB(t, b.node, "s", 800), statB(t, control, "s", 800)) {
+	if quorum && !bytes.Equal(statB(t, next.node, "s", 800), statB(t, control, "s", 800)) {
 		t.Error("healed quorum group differs from the never-partitioned control")
 	}
 	return ackedCut, lost

@@ -49,7 +49,7 @@ func retriable(req wire.Message) bool {
 	switch r := req.(type) {
 	case *wire.StreamInfo, *wire.StatRange, *wire.GetRange, *wire.ListStreams,
 		*wire.GetGrants, *wire.GetEnvelopes, *wire.GetStaged,
-		*wire.AggRange, *wire.QueryStream,
+		*wire.AggRange,
 		*wire.TopologyInfo, *wire.StreamSnapshot, *wire.LeaseInfo:
 		return true
 	case *wire.Batch:

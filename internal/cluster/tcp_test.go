@@ -343,7 +343,7 @@ func TestRetriableClassification(t *testing.T) {
 	reads := []wire.Message{
 		&wire.StreamInfo{}, &wire.StatRange{}, &wire.GetRange{},
 		&wire.ListStreams{}, &wire.GetGrants{}, &wire.GetEnvelopes{},
-		&wire.GetStaged{}, &wire.AggRange{}, &wire.QueryStream{},
+		&wire.GetStaged{}, &wire.AggRange{},
 		&wire.TopologyInfo{}, &wire.StreamSnapshot{}, &wire.LeaseInfo{},
 		&wire.Batch{Reqs: []wire.Message{&wire.StatRange{}, &wire.AggRange{}}},
 	}

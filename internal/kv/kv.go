@@ -1,9 +1,10 @@
 // Package kv provides the storage substrate TimeCrypt persists chunks and
 // index nodes into. The paper's prototype used Cassandra purely as a
 // key-value store; this package supplies the same contract with a sharded
-// in-memory engine plus snapshot persistence, so the rest of the system is
-// storage-agnostic (paper §4.6, "TimeCrypt can be plugged-in with any
-// scalable key-value store").
+// in-memory engine, prefix partitions for in-process shards, and the
+// snapshot format that internal/kv/durable compacts its write-ahead log
+// into, so the rest of the system is storage-agnostic (paper §4.6,
+// "TimeCrypt can be plugged-in with any scalable key-value store").
 package kv
 
 import (

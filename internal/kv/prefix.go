@@ -3,8 +3,8 @@ package kv
 import "strings"
 
 // PrefixStore namespaces a Store under a fixed key prefix, so several
-// engine shards can partition one backing store (one snapshot file, one
-// remote storage node) without key collisions. Len and SizeBytes report
+// engine shards can partition one backing store (one durable data
+// directory) without key collisions. Len and SizeBytes report
 // only the partition's keys; Close is a no-op because the base store is
 // shared.
 type PrefixStore struct {

@@ -11,9 +11,10 @@ import (
 )
 
 // Snapshot format: a magic header followed by length-prefixed records and a
-// trailing CRC-32 of everything before it. This gives the in-memory store a
-// durability story (periodic snapshots) without pulling in a full LSM tree,
-// which the paper's evaluation never exercises.
+// trailing CRC-32 of everything before it. internal/kv/durable compacts its
+// write-ahead log into this format, so recovery loads one snapshot and
+// replays only the log tail, without a full LSM tree the paper's
+// evaluation never exercises.
 
 var snapshotMagic = [8]byte{'T', 'C', 'K', 'V', 'S', 'N', 'A', '1'}
 

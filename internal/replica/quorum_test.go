@@ -267,16 +267,23 @@ func TestDeposedMinorityLeaderResyncsAndDiscardsTail(t *testing.T) {
 		t.Fatal("minority leader acked a write without a quorum")
 	}
 
-	// Majority-side failover: b takes the lease with the full membership.
-	ack, ok := b.node.Handle(ctx, &wire.Promote{
-		Epoch: 2, Leader: b.addr, Members: []string{a.addr, b.addr, c.addr},
+	// Majority-side failover: the more advanced of b and c takes the
+	// lease with the full membership, as Router failover picks it (a
+	// quorum ack needs only one follower, so the other may lag).
+	next := b
+	_, _, wb := b.node.Status()
+	if _, _, wc := c.node.Status(); wc > wb {
+		next = c
+	}
+	ack, ok := next.node.Handle(ctx, &wire.Promote{
+		Epoch: 2, Leader: next.addr, Members: []string{a.addr, b.addr, c.addr},
 	}).(*wire.ReplAck)
 	if !ok || ack.Epoch != 2 {
 		t.Fatalf("Promote -> %#v", ack)
 	}
 	// The new leader writes its OWN chunk 3 (value 99): after the heal
 	// exactly one of the two competing histories may survive.
-	if resp := b.node.Handle(ctx, &wire.InsertChunk{UUID: "s", Chunk: sealChunkVal(t, 3, 99)}); !isOK(resp) {
+	if resp := next.node.Handle(ctx, &wire.InsertChunk{UUID: "s", Chunk: sealChunkVal(t, 3, 99)}); !isOK(resp) {
 		t.Fatalf("InsertChunk on new leader -> %#v", resp)
 	}
 
@@ -286,7 +293,7 @@ func TestDeposedMinorityLeaderResyncsAndDiscardsTail(t *testing.T) {
 		if role != wire.ReplFollower || epoch != 2 {
 			return false
 		}
-		return bytes.Equal(statBytes(t, a.node, "s"), statBytes(t, b.node, "s"))
+		return bytes.Equal(statBytes(t, a.node, "s"), statBytes(t, next.node, "s"))
 	})
 	if a.node.Installs() == 0 {
 		t.Error("ex-leader rejoined without a snapshot resync")

@@ -415,8 +415,11 @@ func TestEngineRecoversFromStore(t *testing.T) {
 	h := newHarness(t)
 	h.createStream(t, "s")
 	h.ingest(t, "s", 20)
-	// A second engine over the same store sees the stream and its data —
-	// the paper's horizontally-scalable stateless instances.
+	if err := h.engine.PutGrant("s", "p", "g", []byte{1, 2, 3}); err != nil {
+		t.Fatal(err)
+	}
+	// A second engine over the same store sees the stream, its data and
+	// its grants — the paper's horizontally-scalable stateless instances.
 	engine2, err := New(h.store, Config{})
 	if err != nil {
 		t.Fatal(err)
@@ -430,6 +433,9 @@ func TestEngineRecoversFromStore(t *testing.T) {
 	}
 	if _, _, _, err := engine2.StatRange(context.Background(), []string{"s"}, 0, 2000, 0); err != nil {
 		t.Errorf("recovered engine cannot query: %v", err)
+	}
+	if blobs, err := engine2.GetGrants("s", "p"); err != nil || len(blobs) != 1 {
+		t.Errorf("recovered engine has %d grants (%v), want 1", len(blobs), err)
 	}
 }
 

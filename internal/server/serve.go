@@ -270,10 +270,10 @@ const DefaultMaxConnInFlight = 64
 // execute concurrently on one connection and responses return out of
 // order, each tagged with its request's correlation ID. Requests sharing a
 // routing key (stream UUID) preserve arrival order — chunk inserts must
-// stay ordered — while everything else overlaps. wire.QueryStream requests
-// stream their response: successive StatRangeResp pages pushed under one
-// correlation ID. It serves any Handler — a single engine or a cluster
-// router.
+// stay ordered — while everything else overlaps. wire.AggRange requests
+// with PageWindows stream their response: successive AggRangeResp pages
+// pushed under one correlation ID. It serves any Handler — a single
+// engine or a cluster router.
 type Server struct {
 	handler Handler
 	logf    func(format string, args ...any)
@@ -470,7 +470,7 @@ func (s *Server) serveConn(ctx context.Context, conn net.Conn) {
 			})
 			continue
 		}
-		if spec, ok := streamSpecFor(req); ok {
+		if agg, ok := req.(*wire.AggRange); ok && agg.PageWindows > 0 {
 			// Streamed responses interleave with other requests' frames;
 			// keyed scheduling keeps them ordered after same-stream
 			// writes that arrived first. The flow entry registers before
@@ -481,7 +481,7 @@ func (s *Server) serveConn(ctx context.Context, conn net.Conn) {
 			sched.runReleasing(key, func(release func()) {
 				defer cancel()
 				defer flows.unregister(id)
-				s.streamWindows(reqCtx, id, flow, spec, out, release)
+				s.streamWindows(reqCtx, id, flow, agg, out, release)
 			})
 			continue
 		}
@@ -604,49 +604,6 @@ func (cs *connSched) runReleasing(key string, fn func(release func())) {
 // wait blocks until every dispatched request has finished.
 func (cs *connSched) wait() { cs.wg.Wait() }
 
-// streamSpec is the transport-independent shape of one streamed query: the
-// member streams, range, and window geometry, plus the per-page request
-// constructor (StatRangeResp pages for wire.QueryStream, AggRangeResp
-// pages for streamed wire.AggRange).
-type streamSpec struct {
-	uuids        []string
-	ts, te       int64
-	windowChunks uint64
-	pageWindows  uint64
-	makeReq      func(ts, te int64) wire.Message
-	isPage       func(wire.Message) bool
-}
-
-// streamSpecFor recognizes requests served in the streamed response mode:
-// every QueryStream, and AggRange frames that opted in with PageWindows.
-func streamSpecFor(req wire.Message) (streamSpec, bool) {
-	switch m := req.(type) {
-	case *wire.QueryStream:
-		return streamSpec{
-			uuids: []string{m.UUID}, ts: m.Ts, te: m.Te,
-			windowChunks: m.WindowChunks, pageWindows: uint64(m.PageWindows),
-			makeReq: func(ts, te int64) wire.Message {
-				return &wire.StatRange{UUIDs: []string{m.UUID}, Ts: ts, Te: te, WindowChunks: m.WindowChunks}
-			},
-			isPage: func(resp wire.Message) bool { _, ok := resp.(*wire.StatRangeResp); return ok },
-		}, true
-	case *wire.AggRange:
-		if m.PageWindows == 0 {
-			return streamSpec{}, false // unary plan: regular Handler dispatch
-		}
-		return streamSpec{
-			uuids: m.UUIDs, ts: m.Ts, te: m.Te,
-			windowChunks: m.WindowChunks, pageWindows: uint64(m.PageWindows),
-			makeReq: func(ts, te int64) wire.Message {
-				return &wire.AggRange{UUIDs: m.UUIDs, Ts: ts, Te: te, WindowChunks: m.WindowChunks, Elems: m.Elems}
-			},
-			isPage: func(resp wire.Message) bool { _, ok := resp.(*wire.AggRangeResp); return ok },
-		}, true
-	default:
-		return streamSpec{}, false
-	}
-}
-
 // streamMeta resolves the shared geometry and the common ingested bound of
 // a streamed query's member streams through the regular Handler (one
 // StreamInfo, or one Batch of them — a single round trip even behind a
@@ -706,21 +663,18 @@ func (s *Server) streamMeta(ctx context.Context, uuids []string) (epoch, interva
 // link once the iteration bounds are pinned: from then on, later
 // same-stream requests need not queue behind a stream that may park on
 // credit indefinitely.
-func (s *Server) streamWindows(ctx context.Context, id uint64, flow *streamFlow, spec streamSpec, out chan<- respFrame, release func()) {
+func (s *Server) streamWindows(ctx context.Context, id uint64, flow *streamFlow, req *wire.AggRange, out chan<- respFrame, release func()) {
 	final := func(m wire.Message) { out <- respFrame{id: id, msg: m} }
-	if spec.windowChunks == 0 {
+	if req.WindowChunks == 0 {
 		final(&wire.Error{Code: wire.CodeBadRequest, Msg: "server: streamed query needs a window size"})
 		return
 	}
-	if len(spec.uuids) == 0 {
+	if len(req.UUIDs) == 0 {
 		final(&wire.Error{Code: wire.CodeBadRequest, Msg: "server: no streams given"})
 		return
 	}
-	pageWindows := spec.pageWindows
-	if pageWindows == 0 {
-		pageWindows = 64
-	}
-	epoch, interval, count, errResp := s.streamMeta(ctx, spec.uuids)
+	pageWindows := uint64(req.PageWindows)
+	epoch, interval, count, errResp := s.streamMeta(ctx, req.UUIDs)
 	if errResp != nil {
 		final(errResp)
 		return
@@ -729,7 +683,7 @@ func (s *Server) streamWindows(ctx context.Context, id uint64, flow *streamFlow,
 		final(&wire.Error{Code: wire.CodeInternal, Msg: "server: stream has no interval"})
 		return
 	}
-	ts, te := spec.ts, spec.te
+	ts, te := req.Ts, req.Te
 	if ts < epoch {
 		ts = epoch
 	}
@@ -737,15 +691,15 @@ func (s *Server) streamWindows(ctx context.Context, id uint64, flow *streamFlow,
 		te = maxTe
 	}
 	if te <= ts {
-		final(&wire.Error{Code: wire.CodeBadRequest, Msg: fmt.Sprintf("server: no ingested chunks in range [%d,%d)", spec.ts, spec.te)})
+		final(&wire.Error{Code: wire.CodeBadRequest, Msg: fmt.Sprintf("server: no ingested chunks in range [%d,%d)", req.Ts, req.Te)})
 		return
 	}
 	// Page over chunk positions; the range is served verbatim (the client
 	// cursor aligns it to the window grid before asking).
 	a := uint64(ts-epoch) / uint64(interval)
 	b := (uint64(te-epoch) + uint64(interval) - 1) / uint64(interval)
-	step := spec.windowChunks * pageWindows
-	if step/pageWindows != spec.windowChunks || step > b-a {
+	step := req.WindowChunks * pageWindows
+	if step/pageWindows != req.WindowChunks || step > b-a {
 		step = b - a // oversized or overflowing page: one page covers all
 	}
 	// Bounds pinned: later same-stream requests have nothing to order
@@ -760,8 +714,11 @@ func (s *Server) streamWindows(ctx context.Context, id uint64, flow *streamFlow,
 		if hi > b {
 			hi = b
 		}
-		resp := s.handler.Handle(ctx, spec.makeReq(epoch+int64(lo)*interval, epoch+int64(hi)*interval))
-		if !spec.isPage(resp) {
+		resp := s.handler.Handle(ctx, &wire.AggRange{
+			UUIDs: req.UUIDs, Ts: epoch + int64(lo)*interval, Te: epoch + int64(hi)*interval,
+			WindowChunks: req.WindowChunks, Elems: req.Elems,
+		})
+		if _, ok := resp.(*wire.AggRangeResp); !ok {
 			final(resp) // *wire.Error (or a misbehaving handler) ends the stream
 			return
 		}

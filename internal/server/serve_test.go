@@ -251,9 +251,9 @@ func TestConnInFlightCap(t *testing.T) {
 	}
 }
 
-// TestQueryStreamOverTCP drives the streamed response mode raw: pages
-// arrive as FlagMore StatRangeResp frames under the request's correlation
-// ID, terminated by a clean OK.
+// TestQueryStreamOverTCP drives the streamed query response mode raw: an
+// AggRange with PageWindows gets its pages as FlagMore AggRangeResp frames
+// under the request's correlation ID, terminated by a clean OK.
 func TestQueryStreamOverTCP(t *testing.T) {
 	h := newHarness(t)
 	h.createStream(t, "qs")
@@ -268,8 +268,8 @@ func TestQueryStreamOverTCP(t *testing.T) {
 	defer conn.Close()
 	// 10 chunks of 100ms, window 2 -> 5 windows; 3 per page -> pages of
 	// 3 and 2 windows.
-	if err := wire.WriteRequest(conn, 77, 0, &wire.QueryStream{
-		UUID: "qs", Ts: 0, Te: 1000, WindowChunks: 2, PageWindows: 3,
+	if err := wire.WriteRequest(conn, 77, 0, &wire.AggRange{
+		UUIDs: []string{"qs"}, Ts: 0, Te: 1000, WindowChunks: 2, PageWindows: 3,
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +288,7 @@ func TestQueryStreamOverTCP(t *testing.T) {
 			}
 			break
 		}
-		page, ok := resp.(*wire.StatRangeResp)
+		page, ok := resp.(*wire.AggRangeResp)
 		if !ok {
 			t.Fatalf("stream page -> %#v", resp)
 		}
@@ -299,8 +299,8 @@ func TestQueryStreamOverTCP(t *testing.T) {
 	}
 
 	// Unknown stream: a single terminal error frame.
-	if err := wire.WriteRequest(conn, 78, 0, &wire.QueryStream{
-		UUID: "nope", Ts: 0, Te: 1000, WindowChunks: 2,
+	if err := wire.WriteRequest(conn, 78, 0, &wire.AggRange{
+		UUIDs: []string{"nope"}, Ts: 0, Te: 1000, WindowChunks: 2, PageWindows: 3,
 	}); err != nil {
 		t.Fatal(err)
 	}

@@ -27,7 +27,8 @@ import (
 //     quiesces, and StreamSnapshot{WithMeta: true} exports the remaining
 //     chunk delta plus meta, index nodes, staged records, grants, and
 //     envelopes — a consistent copy, because nothing is writing.
-//  3. Handoff: HandoffComplete{Commit} registers the stream on the
+//  3. Handoff: HandoffComplete{Commit} moves the imported meta from its
+//     staging key to the stream's meta key and registers the stream on the
 //     destination; HandoffComplete{Release} deletes it on the source,
 //     leaving a tombstone with the topology epoch. Until Commit the
 //     destination never serves the stream; after Release the source
@@ -224,11 +225,19 @@ func snapshotKeyAllowed(uuid, key string) bool {
 	return false
 }
 
+// importMetaKey stages an imported stream's meta until its handoff
+// commits. Boot registers every meta key ("m/"), so the import must not
+// write there: a destination restarted between the frozen import and the
+// commit would otherwise serve the half-migrated stream and refuse the
+// coordinator's abort and re-import.
+func importMetaKey(uuid string) string { return "mi/" + uuid }
+
 // IngestSnapshot imports one page of a migrating stream's exported state.
-// The raw key/value pairs land in the store but the stream is NOT
-// registered — it stays invisible to queries until HandoffComplete
-// commits it, so a half-copied stream is never served. Refused while the
-// stream is live on this shard (that would corrupt a serving stream).
+// The raw key/value pairs land in the store (the meta under its staging
+// key) but the stream is NOT registered — it stays invisible to queries,
+// also across restarts, until HandoffComplete commits it, so a half-copied
+// stream is never served. Refused while the stream is live on this shard
+// (that would corrupt a serving stream).
 func (e *Engine) IngestSnapshot(uuid string, items []wire.KVItem) error {
 	if uuid == "" {
 		return errors.New("server: empty stream UUID")
@@ -245,7 +254,11 @@ func (e *Engine) IngestSnapshot(uuid string, items []wire.KVItem) error {
 		if !snapshotKeyAllowed(uuid, it.Key) {
 			return fmt.Errorf("server: snapshot item key %q outside stream %q", it.Key, uuid)
 		}
-		ops = append(ops, kv.Op{Kind: kv.OpPut, Key: it.Key, Value: it.Value})
+		key := it.Key
+		if key == metaKey(uuid) {
+			key = importMetaKey(uuid)
+		}
+		ops = append(ops, kv.Op{Kind: kv.OpPut, Key: key, Value: it.Value})
 	}
 	return e.store.Batch(ops)
 }
@@ -285,14 +298,21 @@ func (e *Engine) handoffReclaim(uuid string) error {
 }
 
 // handoffCommit registers an imported stream: the destination side of a
-// migration starts serving. Clears any tombstone from an earlier move in
-// the other direction.
+// migration starts serving. The staged meta moves to the stream's meta key
+// in one batch first, so a restart from here on recovers the stream. Clears
+// any tombstone from an earlier move in the other direction.
 func (e *Engine) handoffCommit(uuid string) error {
-	meta, err := e.store.Get(metaKey(uuid))
+	meta, err := e.store.Get(importMetaKey(uuid))
 	if errors.Is(err, kv.ErrNotFound) {
 		return fmt.Errorf("server: stream %q has no imported meta to commit", uuid)
 	}
 	if err != nil {
+		return err
+	}
+	if err := e.store.Batch([]kv.Op{
+		{Kind: kv.OpPut, Key: metaKey(uuid), Value: meta},
+		{Kind: kv.OpDelete, Key: importMetaKey(uuid)},
+	}); err != nil {
 		return err
 	}
 	if _, err := e.openStream(uuid, meta); err != nil {
@@ -352,7 +372,8 @@ func (e *Engine) handoffAbort(uuid string) error {
 
 // deleteStreamOps collects the store deletions removing every persisted
 // trace of a stream (chunks, index nodes, grants, envelopes, staged
-// records, meta) — shared by DeleteStream, handoff release, and abort.
+// records, meta, staged import meta) — shared by DeleteStream, handoff
+// release, and abort.
 func (e *Engine) deleteStreamOps(uuid string) []kv.Op {
 	var ops []kv.Op
 	for _, prefix := range []string{"c/" + uuid + "/", "i/" + uuid + "/", "g/" + uuid + "/", "e/" + uuid + "/", "r/" + uuid + "/"} {
@@ -361,7 +382,8 @@ func (e *Engine) deleteStreamOps(uuid string) []kv.Op {
 			return true
 		})
 	}
-	return append(ops, kv.Op{Kind: kv.OpDelete, Key: metaKey(uuid)})
+	return append(ops, kv.Op{Kind: kv.OpDelete, Key: metaKey(uuid)},
+		kv.Op{Kind: kv.OpDelete, Key: importMetaKey(uuid)})
 }
 
 // Migration tombstones.

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"testing"
 
@@ -209,6 +210,56 @@ func TestImportInvisibleUntilCommitAndAbort(t *testing.T) {
 	// The source never stopped serving.
 	if _, count, err := h.engine.StreamInfo("s"); err != nil || count != 5 {
 		t.Fatalf("source degraded after abort: %d, %v", count, err)
+	}
+}
+
+// TestImportInvisibleAcrossRestart: a destination restarted between the
+// frozen import and the commit must not serve the half-migrated stream,
+// and the coordinator's abort and re-import must still work on it.
+func TestImportInvisibleAcrossRestart(t *testing.T) {
+	h := newHarness(t)
+	h.createStream(t, "s")
+	h.ingest(t, "s", 25)
+	if err := h.engine.PutGrant("s", "doc", "g1", []byte{1, 2}); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	query := &wire.StatRange{UUIDs: []string{"s"}, Ts: 0, Te: 2500}
+	want := wire.Marshal(h.engine.Handle(ctx, query))
+
+	dstStore := kv.NewMemStore()
+	dst, err := New(dstStore, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, count, items := exportAll(t, h.engine, wire.StreamSnapshot{UUID: "s", MaxItems: 3})
+	if err := dst.IngestSnapshot("s", items); err != nil {
+		t.Fatal(err)
+	}
+	_, _, items = exportAll(t, h.engine, wire.StreamSnapshot{UUID: "s", FromChunk: count, WithMeta: true, MaxItems: 3})
+	if err := dst.IngestSnapshot("s", items); err != nil {
+		t.Fatal(err)
+	}
+
+	// The destination restarts before the commit.
+	restarted, err := New(dstStore, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := restarted.StreamInfo("s"); err == nil || WireError(err).Code != wire.CodeNotFound {
+		t.Fatalf("restarted destination answered StreamInfo with %v, want CodeNotFound", err)
+	}
+	if err := restarted.HandoffComplete("s", 3, wire.HandoffAbort); err != nil {
+		t.Fatalf("abort after restart: %v", err)
+	}
+	if n := dstStore.Len(); n != 0 {
+		t.Fatalf("abort left %d keys behind", n)
+	}
+
+	// The coordinator retries the move onto the restarted destination.
+	migrate(t, h.engine, restarted, "s", 3)
+	if got := wire.Marshal(restarted.Handle(ctx, query)); !bytes.Equal(got, want) {
+		t.Fatalf("re-imported stream answers %x, source answered %x", got, want)
 	}
 }
 

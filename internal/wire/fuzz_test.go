@@ -55,6 +55,24 @@ func TestUnmarshalMutatedMessages(t *testing.T) {
 	}
 }
 
+// TestRetiredMessageIDRejected: ID 28 (the retired QueryStream) stays
+// reserved, so a frame carrying it — bare, or in the old QueryStream
+// layout — is an unknown message, never a decodable one.
+func TestRetiredMessageIDRejected(t *testing.T) {
+	var e Encoder
+	e.U8(28)
+	e.Str("s1")
+	e.I64(0)
+	e.I64(600)
+	e.U64(6)
+	e.U64(64)
+	for _, data := range [][]byte{{28}, e.Bytes()} {
+		if m, err := Unmarshal(data); err == nil {
+			t.Errorf("retired type 28 decoded as %T", m)
+		}
+	}
+}
+
 // TestFrameReaderHostileHeaders feeds adversarial frame headers.
 func TestFrameReaderHostileHeaders(t *testing.T) {
 	cases := [][]byte{

@@ -37,7 +37,7 @@ const (
 	TListStreamsResp
 	TBatch
 	TBatchResp
-	TQueryStream
+	_ // reserved for QueryStream 28 (retired: a streamed AggRange replaces it)
 	TAggRange
 	TAggRangeResp
 	TStreamCredit
@@ -121,7 +121,6 @@ var registry = map[MsgType]func() Message{
 	TListStreamsResp:  func() Message { return &ListStreamsResp{} },
 	TBatch:            func() Message { return &Batch{} },
 	TBatchResp:        func() Message { return &BatchResp{} },
-	TQueryStream:      func() Message { return &QueryStream{} },
 	TAggRange:         func() Message { return &AggRange{} },
 	TAggRangeResp:     func() Message { return &AggRangeResp{} },
 	TStreamCredit:     func() Message { return &StreamCredit{} },
@@ -743,47 +742,10 @@ func (m *ListStreamsResp) decode(d *Decoder) error {
 	return d.Err()
 }
 
-// MaxPageWindows bounds how many windows one QueryStream page may carry,
-// keeping each pushed frame (and the server work behind it) bounded.
+// MaxPageWindows bounds how many windows one streamed AggRange page may
+// carry, keeping each pushed frame (and the server work behind it)
+// bounded.
 const MaxPageWindows = 4096
-
-// QueryStream opens a streamed statistical query (wire protocol v3): the
-// server evaluates the windowed range page by page and pushes each page as
-// a StatRangeResp frame tagged with the request's correlation ID and
-// FlagMore, then terminates the stream with a final OK (or Error) frame.
-// Compared with a cursor issuing one StatRange round trip per page, the
-// successive windows arrive without per-page request latency.
-//
-// The server pages the given range verbatim: callers align Ts/Te to the
-// window grid themselves (the client cursor does), and each page covers
-// PageWindows windows of WindowChunks chunks.
-type QueryStream struct {
-	UUID         string
-	Ts, Te       int64
-	WindowChunks uint64
-	PageWindows  uint32
-}
-
-func (*QueryStream) Type() MsgType { return TQueryStream }
-func (m *QueryStream) encode(e *Encoder) {
-	e.Str(m.UUID)
-	e.I64(m.Ts)
-	e.I64(m.Te)
-	e.U64(m.WindowChunks)
-	e.U64(uint64(m.PageWindows))
-}
-func (m *QueryStream) decode(d *Decoder) error {
-	m.UUID = d.Str()
-	m.Ts = d.I64()
-	m.Te = d.I64()
-	m.WindowChunks = d.U64()
-	if n := d.U64(); n > MaxPageWindows {
-		m.PageWindows = MaxPageWindows
-	} else {
-		m.PageWindows = uint32(n)
-	}
-	return d.Err()
-}
 
 // MaxAggStreams bounds the member streams of one AggRange: generous enough
 // for population-scale aggregation ("average over all patients"), small
@@ -1425,8 +1387,6 @@ func RoutingUUID(req Message) (string, bool) {
 	case *StageRecord:
 		return m.UUID, true
 	case *GetStaged:
-		return m.UUID, true
-	case *QueryStream:
 		return m.UUID, true
 	case *StreamSnapshot:
 		return m.UUID, true

@@ -115,7 +115,6 @@ func allMessages() []Message {
 		&GetStagedResp{Boxes: [][]byte{{1}, {2}}},
 		&ListStreams{},
 		&ListStreamsResp{UUIDs: []string{"a", "b"}},
-		&QueryStream{UUID: "s1", Ts: 0, Te: 600, WindowChunks: 6, PageWindows: 64},
 		&AggRange{UUIDs: []string{"a", "b", "c"}, Ts: -7, Te: 900, WindowChunks: 6,
 			Elems: []uint32{0, 1, 4}, PageWindows: 32},
 		&AggRangeResp{FromChunk: 6, ToChunk: 18, Epoch: 1700000000000, Interval: 10000,
@@ -201,6 +200,17 @@ func TestUnmarshalRejectsGarbage(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestMessageIDsPinned: type IDs are part of the wire format. Retiring a
+// message reserves its ID instead of shifting the ones after it.
+func TestMessageIDsPinned(t *testing.T) {
+	if TAggRange != 29 {
+		t.Errorf("TAggRange = %d, want 29", TAggRange)
+	}
+	if TLeaseInfoResp != 49 {
+		t.Errorf("TLeaseInfoResp = %d, want 49", TLeaseInfoResp)
 	}
 }
 
