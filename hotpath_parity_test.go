@@ -214,7 +214,7 @@ func indexDump(t *testing.T, fanout, vlen int, n uint64, digest func(uint64, int
 			for i := range batch {
 				batch[i] = digest(pos+uint64(i), vlen)
 			}
-			if err := tree.AppendBatch(pos, batch); err != nil {
+			if err := tree.AppendBatch(pos, batch, nil); err != nil {
 				t.Fatal(err)
 			}
 			pos += sz

@@ -131,6 +131,42 @@ func TestHotPathAllocBudgets(t *testing.T) {
 			t.Errorf("pooled frame read: %.1f allocs/frame, want 0", allocs)
 		}
 	})
+	t.Run("engine-ingest", func(t *testing.T) {
+		// One pre-sealed InsertChunk over MemStore: parse, validate, and
+		// commit the chunk with its index root path and meta as one
+		// store batch. Sealing is left out; chunk-seal covers it.
+		const budget = 57
+		const runs = 500
+		spec := hotSpec(t)
+		engine := hotEngine(t, spec)
+		enc := hotEncryptor(t)
+		const warm = index.DefaultFanout // past the first leaf node's fill
+		blobs := make([][]byte, warm+runs+1)
+		for i := range blobs {
+			pos := uint64(i)
+			start := int64(pos) * 100
+			sealed, err := chunk.Seal(enc, spec, chunk.CompressionNone, pos, start, start+100, hotPoints(pos))
+			if err != nil {
+				t.Fatal(err)
+			}
+			blobs[i] = chunk.MarshalSealed(sealed)
+		}
+		for _, blob := range blobs[:warm] {
+			if err := engine.InsertChunk("hot", blob); err != nil {
+				t.Fatal(err)
+			}
+		}
+		next := warm
+		allocs := testing.AllocsPerRun(runs, func() {
+			if err := engine.InsertChunk("hot", blobs[next]); err != nil {
+				t.Fatal(err)
+			}
+			next++
+		})
+		if allocs > budget {
+			t.Errorf("InsertChunk: %.1f allocs/chunk, budget %d", allocs, budget)
+		}
+	})
 }
 
 // BenchmarkHotPath is the per-layer micro-benchmark suite backing
@@ -220,7 +256,7 @@ func BenchmarkHotPath(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i += batch {
-			if err := tree.AppendBatch(uint64(i), digests); err != nil {
+			if err := tree.AppendBatch(uint64(i), digests, nil); err != nil {
 				b.Fatal(err)
 			}
 		}

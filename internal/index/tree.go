@@ -4,11 +4,16 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/kv"
 )
+
+// pruneStep is how many node deletes Prune commits per store Batch.
+const pruneStep = 256
 
 // DefaultFanout is the paper's evaluation fanout ("we instantiate 64-ary
 // index trees", §6).
@@ -56,16 +61,17 @@ func (c *Config) applyDefaults() error {
 // [idx·k^level, (idx+1)·k^level). Ingest is append-only (time series are
 // in-order), so updating the tree is a root-path read-modify-write.
 //
-// Tree is safe for concurrent use: appends serialize behind a write lock,
-// queries run concurrently.
+// Tree is safe for concurrent use: appends serialize behind a lock,
+// queries run concurrently and never wait for an append's store write.
 type Tree struct {
 	store    kv.Store
 	streamID string
+	metaKey  string // holds Count, big-endian
 	cfg      Config
 	cache    *stripedCache
 
-	mu    sync.RWMutex
-	count uint64 // number of leaf digests appended
+	mu    sync.Mutex    // serializes appends and prunes
+	count atomic.Uint64 // number of leaf digests appended
 }
 
 // Open loads (or initializes) the tree for streamID.
@@ -76,14 +82,15 @@ func Open(store kv.Store, streamID string, cfg Config) (*Tree, error) {
 	if err := cfg.applyDefaults(); err != nil {
 		return nil, err
 	}
-	t := &Tree{store: store, streamID: streamID, cfg: cfg, cache: newStripedCache(cfg.CacheBytes)}
-	meta, err := store.Get(t.metaKey())
+	t := &Tree{store: store, streamID: streamID, metaKey: "i/" + streamID + "/meta", cfg: cfg,
+		cache: newStripedCache(cfg.CacheBytes)}
+	meta, err := store.Get(t.metaKey)
 	switch {
 	case err == nil:
 		if len(meta) != 8 {
 			return nil, fmt.Errorf("index: corrupt meta for stream %q", streamID)
 		}
-		t.count = binary.BigEndian.Uint64(meta)
+		t.count.Store(binary.BigEndian.Uint64(meta))
 	case errors.Is(err, kv.ErrNotFound):
 		// fresh stream
 	default:
@@ -93,16 +100,10 @@ func Open(store kv.Store, streamID string, cfg Config) (*Tree, error) {
 }
 
 // Count returns the number of chunk digests appended so far.
-func (t *Tree) Count() uint64 {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.count
-}
+func (t *Tree) Count() uint64 { return t.count.Load() }
 
 // Fanout returns the tree arity.
 func (t *Tree) Fanout() int { return t.cfg.Fanout }
-
-func (t *Tree) metaKey() string { return "i/" + t.streamID + "/meta" }
 
 // nodeKey builds the storage key for node (level, idx). Identifiers are
 // computed from the node's position alone, so no references are stored
@@ -156,80 +157,52 @@ func (t *Tree) loadNode(level int, idx uint64) ([]uint64, error) {
 	return vec, nil
 }
 
-// storeNode write-through caches and persists a node.
-func (t *Tree) storeNode(level int, idx uint64, vec []uint64) error {
-	key := t.nodeKey(level, idx)
-	if err := t.store.Put(key, encodeVec(vec)); err != nil {
-		return err
-	}
-	t.cache.put(key, level, vec)
-	return nil
+// pendingNode is one node write staged by AppendBatch; it is cached only
+// once the batch carrying it has committed.
+type pendingNode struct {
+	key   string
+	level int
+	vec   []uint64
 }
 
-// Append ingests the encrypted digest for the next chunk position. pos must
-// equal Count() (in-order, append-only, as the paper assumes); digest must
-// have the configured vector length. The leaf is stored and every ancestor
-// on the root path is updated with one homomorphic addition each.
+// appendScratch is AppendBatch's working memory: the op list, the staged
+// nodes, each digest's node index at the current level and one folded
+// delta. It is pooled rather than kept per tree, so idle streams hold
+// none of it.
+type appendScratch struct {
+	ops   []kv.Op
+	nodes []pendingNode
+	idxs  []uint64
+	delta []uint64
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(appendScratch) }}
+
+// Append ingests the encrypted digest for the next chunk position: an
+// AppendBatch of one digest with no caller ops.
 func (t *Tree) Append(pos uint64, digest []uint64) error {
-	if len(digest) != t.cfg.VectorLen {
-		return fmt.Errorf("index: digest has %d elements, want %d", len(digest), t.cfg.VectorLen)
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if pos != t.count {
-		return fmt.Errorf("index: append at position %d, expected %d", pos, t.count)
-	}
-	leaf := append([]uint64(nil), digest...)
-	if err := t.storeNode(0, pos, leaf); err != nil {
-		return err
-	}
-	k := uint64(t.cfg.Fanout)
-	idx := pos
-	for level := 1; level <= t.cfg.MaxLevels; level++ {
-		idx /= k
-		cur, err := t.loadNode(level, idx)
-		var next []uint64
-		switch {
-		case err == nil:
-			next = append([]uint64(nil), cur...)
-			for e := range next {
-				next[e] += digest[e]
-			}
-		case errors.Is(err, kv.ErrNotFound):
-			// A fresh ancestor's value is exactly the digest, which the
-			// leaf slice already holds. Nodes are copy-on-write (updates
-			// always store a fresh slice), so the cache may safely hold
-			// one slice under several keys; this saves a copy per fresh
-			// level on the first append into each subtree.
-			next = leaf
-		default:
-			return err
-		}
-		if err := t.storeNode(level, idx, next); err != nil {
-			return err
-		}
-	}
-	t.count = pos + 1
-	var meta [8]byte
-	binary.BigEndian.PutUint64(meta[:], t.count)
-	return t.store.Put(t.metaKey(), meta[:])
+	return t.AppendBatch(pos, [][]uint64{digest}, nil)
 }
 
 // AppendBatch ingests the encrypted digests for the next len(digests)
-// chunk positions in one locked pass. pos must equal Count().
+// chunk positions as one store write. pos must equal Count() (in-order,
+// append-only, as the paper assumes).
 //
-// Where N sequential Appends perform N·MaxLevels ancestor read-modify-write
-// cycles and N meta writes, a batch folds every digest that lands in the
-// same ancestor into one delta first, so each touched ancestor is written
-// once (≈ N/k per level) and the meta key once per batch. The resulting
-// node bytes are identical to N sequential Appends — modular addition is
-// associative — which TestHotPathGoldenParity pins against golden store
-// dumps.
-func (t *Tree) AppendBatch(pos uint64, digests [][]uint64) error {
+// The leaf, ancestor and meta puts are appended to ops — the caller's own
+// mutations, such as the chunk ciphertexts, possibly none — and the whole
+// list is committed with a single store Batch, so a durable store logs the
+// insert as one record and recovers it all-or-nothing. Only after that
+// Batch succeeds are the new nodes cached and Count advanced: a failed
+// append leaves the tree as it was, and a retry at the same position
+// writes the same bytes. ops is only read.
+//
+// Digests landing in the same ancestor are folded into one delta first,
+// so each touched ancestor is written once (≈ N/k per level) and the meta
+// key once per batch. The node bytes equal those of N single appends —
+// modular addition is associative — which TestHotPathGoldenParity pins
+// against golden store dumps.
+func (t *Tree) AppendBatch(pos uint64, digests [][]uint64, ops []kv.Op) error {
 	n := uint64(len(digests))
-	if n == 0 {
-		return nil
-	}
 	for i, digest := range digests {
 		if len(digest) != t.cfg.VectorLen {
 			return fmt.Errorf("index: digest %d has %d elements, want %d", i, len(digest), t.cfg.VectorLen)
@@ -237,24 +210,29 @@ func (t *Tree) AppendBatch(pos uint64, digests [][]uint64) error {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if pos != t.count {
-		return fmt.Errorf("index: append at position %d, expected %d", pos, t.count)
+	if count := t.count.Load(); pos != count {
+		return fmt.Errorf("index: append at position %d, expected %d", pos, count)
 	}
+	sc := scratchPool.Get().(*appendScratch)
+	defer func() {
+		clear(sc.ops) // drop the chunk and node bytes the pool would pin
+		clear(sc.nodes)
+		scratchPool.Put(sc)
+	}()
+	nodes := sc.nodes[:0]
 	for i, digest := range digests {
-		leaf := append([]uint64(nil), digest...)
-		if err := t.storeNode(0, pos+uint64(i), leaf); err != nil {
-			return err
-		}
+		nodes = append(nodes, pendingNode{t.nodeKey(0, pos+uint64(i)), 0, append([]uint64(nil), digest...)})
 	}
 	k := uint64(t.cfg.Fanout)
 	// idxs[i] tracks digest i's node index at the current level; dividing
-	// per level (like Append's idx /= k) sidesteps k^level overflow for
-	// tall configured trees.
-	idxs := make([]uint64, n)
-	for i := range idxs {
-		idxs[i] = pos + uint64(i)
+	// per level sidesteps k^level overflow for tall configured trees.
+	idxs := sc.idxs[:0]
+	for i := range n {
+		idxs = append(idxs, pos+i)
 	}
-	delta := make([]uint64, t.cfg.VectorLen)
+	sc.idxs = idxs
+	delta := slices.Grow(sc.delta[:0], t.cfg.VectorLen)[:t.cfg.VectorLen]
+	sc.delta = delta
 	for level := 1; level <= t.cfg.MaxLevels; level++ {
 		for i := range idxs {
 			idxs[i] /= k
@@ -287,25 +265,34 @@ func (t *Tree) AppendBatch(pos uint64, digests [][]uint64) error {
 			default:
 				return err
 			}
-			if err := t.storeNode(level, idxs[i], next); err != nil {
-				return err
-			}
+			nodes = append(nodes, pendingNode{t.nodeKey(level, idxs[i]), level, next})
 			i = j
 		}
 	}
-	t.count = pos + n
-	var meta [8]byte
-	binary.BigEndian.PutUint64(meta[:], t.count)
-	return t.store.Put(t.metaKey(), meta[:])
+	sc.nodes = nodes
+	all := append(sc.ops[:0], ops...)
+	for _, nd := range nodes {
+		all = append(all, kv.Op{Kind: kv.OpPut, Key: nd.key, Value: encodeVec(nd.vec)})
+	}
+	meta := make([]byte, 8)
+	binary.BigEndian.PutUint64(meta, pos+n)
+	all = append(all, kv.Op{Kind: kv.OpPut, Key: t.metaKey, Value: meta})
+	sc.ops = all
+	if err := t.store.Batch(all); err != nil {
+		return err
+	}
+	for _, nd := range nodes {
+		t.cache.put(nd.key, nd.level, nd.vec)
+	}
+	t.count.Store(pos + n)
+	return nil
 }
 
 // Query returns the homomorphic aggregate over chunk positions [a, b). It
 // decomposes the range into maximal aligned nodes — the paper's
 // O(2(k−1)·log_k n) worst case — touching as few nodes as possible.
 func (t *Tree) Query(a, b uint64) ([]uint64, error) {
-	t.mu.RLock()
-	count := t.count
-	t.mu.RUnlock()
+	count := t.count.Load()
 	if a >= b {
 		return nil, fmt.Errorf("index: empty query range [%d,%d)", a, b)
 	}
@@ -393,20 +380,34 @@ func (t *Tree) Prune(level int, a, b uint64) error {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	ops := make([]kv.Op, 0, pruneStep)
+	// flush deletes the gathered nodes with one store write, then drops
+	// them from the cache.
+	flush := func() error {
+		if err := t.store.Batch(ops); err != nil {
+			return err
+		}
+		for _, op := range ops {
+			t.cache.remove(op.Key)
+		}
+		ops = ops[:0]
+		return nil
+	}
 	span := uint64(1)
 	k := uint64(t.cfg.Fanout)
 	for l := 0; l < level; l++ {
 		lo, hi := a/span, b/span // node index range at level l
 		for idx := lo; idx*span < b && idx < hi; idx++ {
-			key := t.nodeKey(l, idx)
-			if err := t.store.Delete(key); err != nil {
-				return err
+			ops = append(ops, kv.Op{Kind: kv.OpDelete, Key: t.nodeKey(l, idx)})
+			if len(ops) == pruneStep {
+				if err := flush(); err != nil {
+					return err
+				}
 			}
-			t.cache.remove(key)
 		}
 		span *= k
 	}
-	return nil
+	return flush()
 }
 
 // CacheStats reports LRU cache effectiveness for benchmarks.

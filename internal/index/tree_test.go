@@ -1,6 +1,7 @@
 package index
 
 import (
+	"errors"
 	"math/rand/v2"
 	"sync"
 	"testing"
@@ -398,7 +399,7 @@ func TestAppendBatchMatchesSequential(t *testing.T) {
 		for i := range digests {
 			digests[i] = digest(pos + uint64(i))
 		}
-		if err := batchTree.AppendBatch(pos, digests); err != nil {
+		if err := batchTree.AppendBatch(pos, digests, nil); err != nil {
 			t.Fatal(err)
 		}
 		pos += size
@@ -456,22 +457,102 @@ func TestAppendBatchMatchesSequential(t *testing.T) {
 
 func TestAppendBatchValidation(t *testing.T) {
 	tree, _ := newTestTree(t, Config{Fanout: 4, VectorLen: 2})
-	if err := tree.AppendBatch(0, nil); err != nil {
+	if err := tree.AppendBatch(0, nil, nil); err != nil {
 		t.Fatalf("empty batch: %v", err)
 	}
-	if err := tree.AppendBatch(1, [][]uint64{{1, 2}}); err == nil {
+	if err := tree.AppendBatch(1, [][]uint64{{1, 2}}, nil); err == nil {
 		t.Error("out-of-order batch accepted")
 	}
-	if err := tree.AppendBatch(0, [][]uint64{{1, 2}, {3}}); err == nil {
+	if err := tree.AppendBatch(0, [][]uint64{{1, 2}, {3}}, nil); err == nil {
 		t.Error("wrong-length digest accepted")
 	}
 	if tree.Count() != 0 {
 		t.Fatalf("failed batches advanced count to %d", tree.Count())
 	}
-	if err := tree.AppendBatch(0, [][]uint64{{1, 2}, {3, 4}}); err != nil {
+	if err := tree.AppendBatch(0, [][]uint64{{1, 2}, {3, 4}}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if tree.Count() != 2 {
 		t.Fatalf("Count = %d, want 2", tree.Count())
+	}
+}
+
+// failingStore rejects every Batch while fail is set, applying nothing, as
+// a durable store does when its WAL write fails.
+type failingStore struct {
+	*kv.MemStore
+	fail bool
+}
+
+func (s *failingStore) Batch(ops []kv.Op) error {
+	if s.fail {
+		return errors.New("test store: batch failed")
+	}
+	return s.MemStore.Batch(ops)
+}
+
+// TestAppendBatchFailureLeavesTreeUntouched: an append whose store batch
+// fails caches nothing it did not write and leaves Count where it was, so
+// the retry writes exactly what a clean append writes. Caller ops ride in
+// the same batch.
+func TestAppendBatchFailureLeavesTreeUntouched(t *testing.T) {
+	cfg := Config{Fanout: 4, VectorLen: 2}
+	digests := func(from, n uint64) [][]uint64 {
+		out := make([][]uint64, n)
+		for i := range out {
+			p := from + uint64(i)
+			out[i] = []uint64{p + 1, p * p}
+		}
+		return out
+	}
+	clean, cleanStore := newTestTree(t, cfg)
+	store := &failingStore{MemStore: kv.NewMemStore()}
+	tree, err := Open(store, "s1", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tr := range []*Tree{clean, tree} {
+		if err := tr.AppendBatch(0, digests(0, 10), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, _, _, entries := tree.CacheStats()
+	keys := store.Len()
+
+	store.fail = true
+	extra := []kv.Op{{Kind: kv.OpPut, Key: "c/s1/a", Value: []byte{1}}}
+	if err := tree.AppendBatch(10, digests(10, 7), extra); err == nil {
+		t.Fatal("append over a failing store succeeded")
+	}
+	if err := tree.Append(10, digests(10, 1)[0]); err == nil {
+		t.Fatal("single append over a failing store succeeded")
+	}
+	if tree.Count() != 10 {
+		t.Errorf("failed appends moved Count to %d", tree.Count())
+	}
+	if _, _, _, after := tree.CacheStats(); after != entries {
+		t.Errorf("failed appends changed the cache from %d to %d entries", entries, after)
+	}
+	if store.Len() != keys {
+		t.Errorf("failed appends changed the store from %d to %d keys", keys, store.Len())
+	}
+
+	store.fail = false
+	if err := tree.AppendBatch(10, digests(10, 7), extra); err != nil {
+		t.Fatal(err)
+	}
+	if err := clean.AppendBatch(10, digests(10, 7), extra); err != nil {
+		t.Fatal(err)
+	}
+	got, want := map[string]string{}, map[string]string{}
+	store.Scan("", func(k string, v []byte) bool { got[k] = string(v); return true })
+	cleanStore.Scan("", func(k string, v []byte) bool { want[k] = string(v); return true })
+	if len(got) != len(want) {
+		t.Fatalf("retried store has %d keys, clean store %d", len(got), len(want))
+	}
+	for k, v := range want {
+		if got[k] != v {
+			t.Errorf("key %q differs from a clean append", k)
+		}
 	}
 }

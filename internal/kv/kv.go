@@ -41,9 +41,14 @@ type Store interface {
 	Put(key string, value []byte) error
 	// Delete removes key; deleting a missing key is not an error.
 	Delete(key string) error
-	// Batch applies ops atomically with respect to each individual key
-	// (cross-key atomicity is not guaranteed, mirroring Cassandra's
-	// unlogged batches).
+	// Batch applies ops as one write, atomically with respect to each
+	// individual key. The engine relies on one Batch per chunk insert:
+	// the chunk, its index root path, the tree meta and the staged-record
+	// deletes commit together, so a store that makes a Batch crash-atomic
+	// never holds half an insert. internal/kv/durable does:
+	// it logs a Batch as one WAL record and recovers it all-or-nothing.
+	// The interface itself only promises per-key atomicity, like
+	// Cassandra's unlogged batches.
 	Batch(ops []Op) error
 	// Scan visits every key with the given prefix in unspecified order
 	// until fn returns false.

@@ -9,6 +9,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -370,6 +372,25 @@ func (e *Engine) StreamInfo(uuid string) (wire.StreamConfig, uint64, error) {
 	return s.cfg, s.tree.Count(), nil
 }
 
+// parseChunk unmarshals a sealed chunk and checks its digest width and
+// time interval against the stream.
+func (s *stream) parseChunk(uuid string, blob []byte) (*chunk.Sealed, error) {
+	sealed, err := chunk.UnmarshalSealed(blob)
+	if err != nil {
+		return nil, fmt.Errorf("server: stream %q: %w", uuid, err)
+	}
+	if len(sealed.Digest) != int(s.cfg.VectorLen) {
+		return nil, fmt.Errorf("server: stream %q: digest has %d elements, stream uses %d",
+			uuid, len(sealed.Digest), s.cfg.VectorLen)
+	}
+	wantStart := s.cfg.Epoch + int64(sealed.Index)*s.cfg.Interval
+	if sealed.Start != wantStart || sealed.End != wantStart+s.cfg.Interval {
+		return nil, fmt.Errorf("server: stream %q: chunk %d interval [%d,%d) does not match stream geometry",
+			uuid, sealed.Index, sealed.Start, sealed.End)
+	}
+	return sealed, nil
+}
+
 // InsertChunk ingests one sealed chunk: it persists the ciphertext and
 // updates the encrypted index along the root path. Chunks must arrive
 // in order (append-only streams, §4.5).
@@ -378,55 +399,24 @@ func (e *Engine) InsertChunk(uuid string, sealedBytes []byte) error {
 	if err != nil {
 		return err
 	}
-	sealed, err := chunk.UnmarshalSealed(sealedBytes)
+	sealed, err := s.parseChunk(uuid, sealedBytes)
 	if err != nil {
-		return fmt.Errorf("server: stream %q: %w", uuid, err)
-	}
-	if len(sealed.Digest) != int(s.cfg.VectorLen) {
-		return fmt.Errorf("server: stream %q: digest has %d elements, stream uses %d",
-			uuid, len(sealed.Digest), s.cfg.VectorLen)
-	}
-	wantStart := s.cfg.Epoch + int64(sealed.Index)*s.cfg.Interval
-	if sealed.Start != wantStart || sealed.End != wantStart+s.cfg.Interval {
-		return fmt.Errorf("server: stream %q: chunk %d interval [%d,%d) does not match stream geometry",
-			uuid, sealed.Index, sealed.Start, sealed.End)
+		return err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if want := s.tree.Count(); sealed.Index != want {
 		return fmt.Errorf("server: stream %q: chunk %d out of order (expected %d)", uuid, sealed.Index, want)
 	}
-	if err := e.store.Put(chunkKey(uuid, sealed.Index), sealedBytes); err != nil {
-		return err
-	}
-	if err := s.tree.Append(sealed.Index, sealed.Digest); err != nil {
-		return err
-	}
-	// Still under the ingest lock: live views see exactly the append
-	// order, one publish per committed chunk.
-	e.subs.Publish(uuid, sealed.Index, sealed.Digest)
-	// The sealed chunk supersedes its staged real-time records (§4.6). The
-	// staged index names their exact keys, so no store scan is needed.
-	seqs, err := e.takeStaged(uuid, s, sealed.Index)
-	if err != nil {
-		return err
-	}
-	if len(seqs) > 0 {
-		ops := make([]kv.Op, 0, len(seqs))
-		for _, seq := range seqs {
-			ops = append(ops, kv.Op{Kind: kv.OpDelete, Key: stagedKey(uuid, sealed.Index, seq)})
-		}
-		return e.store.Batch(ops)
-	}
-	return nil
+	return e.commitLocked(uuid, s, sealed.Index, [][]byte{sealedBytes}, [][]uint64{sealed.Digest})
 }
 
 // InsertChunkBatch ingests several sealed chunks for one stream under a
 // single stream lock, returning one result per chunk (aligned with
-// sealedBlobs). Valid in-order chunks are folded into the index with one
-// Tree.AppendBatch — log_k(n) ancestor writes for the whole run instead of
-// per chunk — and their staged-record GC coalesces into one store batch.
-// Per-chunk validation matches InsertChunk exactly: a chunk that fails
+// sealedBlobs). Valid in-order chunks are committed together: one store
+// batch holding every chunk, the run's index writes — log_k(n) ancestor
+// writes for the whole run instead of per chunk — and its staged-record
+// GC. Per-chunk validation matches InsertChunk exactly: a chunk that fails
 // validation gets its own error and does not advance the expected
 // position, so the chunks after it are judged exactly as a sequential
 // insert loop would judge them.
@@ -441,23 +431,7 @@ func (e *Engine) InsertChunkBatch(uuid string, sealedBlobs [][]byte) []error {
 	}
 	parsed := make([]*chunk.Sealed, len(sealedBlobs))
 	for i, blob := range sealedBlobs {
-		sealed, err := chunk.UnmarshalSealed(blob)
-		if err != nil {
-			errs[i] = fmt.Errorf("server: stream %q: %w", uuid, err)
-			continue
-		}
-		if len(sealed.Digest) != int(s.cfg.VectorLen) {
-			errs[i] = fmt.Errorf("server: stream %q: digest has %d elements, stream uses %d",
-				uuid, len(sealed.Digest), s.cfg.VectorLen)
-			continue
-		}
-		wantStart := s.cfg.Epoch + int64(sealed.Index)*s.cfg.Interval
-		if sealed.Start != wantStart || sealed.End != wantStart+s.cfg.Interval {
-			errs[i] = fmt.Errorf("server: stream %q: chunk %d interval [%d,%d) does not match stream geometry",
-				uuid, sealed.Index, sealed.Start, sealed.End)
-			continue
-		}
-		parsed[i] = sealed
+		parsed[i], errs[i] = s.parseChunk(uuid, blob)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -465,7 +439,7 @@ func (e *Engine) InsertChunkBatch(uuid string, sealedBlobs [][]byte) []error {
 	want := start
 	var (
 		run     []int // indices into sealedBlobs of the accepted chunks
-		puts    []kv.Op
+		blobs   [][]byte
 		digests [][]uint64
 	)
 	for i, sealed := range parsed {
@@ -477,48 +451,55 @@ func (e *Engine) InsertChunkBatch(uuid string, sealedBlobs [][]byte) []error {
 			continue
 		}
 		run = append(run, i)
-		puts = append(puts, kv.Op{Kind: kv.OpPut, Key: chunkKey(uuid, sealed.Index), Value: sealedBlobs[i]})
+		blobs = append(blobs, sealedBlobs[i])
 		digests = append(digests, sealed.Digest)
 		want++
 	}
 	if len(run) == 0 {
 		return errs
 	}
-	fail := func(err error) []error {
+	if err := e.commitLocked(uuid, s, start, blobs, digests); err != nil {
 		for _, i := range run {
 			errs[i] = err
 		}
-		return errs
 	}
-	if err := e.store.Batch(puts); err != nil {
-		return fail(err)
+	return errs
+}
+
+// commitLocked ingests the in-order chunks blobs, with their digests, at
+// positions start.. as ONE store batch: the chunk ciphertexts, the deletes
+// of their staged records (§4.6: a sealed chunk supersedes them) and the
+// index's leaf, ancestor and meta puts. A durable store logs that as one
+// record, so a crash can never leave half an insert for a retry to count
+// twice. Live views are published and the staged index trimmed only once
+// the batch has committed; a failed insert leaves memory as it was.
+// Caller holds s.mu.
+func (e *Engine) commitLocked(uuid string, s *stream, start uint64, blobs [][]byte, digests [][]uint64) error {
+	var buf [1]kv.Op // a single insert's ops stay on the stack
+	ops := buf[:0]
+	for x, blob := range blobs {
+		ops = append(ops, kv.Op{Kind: kv.OpPut, Key: chunkKey(uuid, start+uint64(x)), Value: blob})
 	}
-	if err := s.tree.AppendBatch(start, digests); err != nil {
-		return fail(err)
+	ops, err := e.appendStagedDeletes(ops, uuid, s, start, start+uint64(len(blobs)))
+	if err != nil {
+		return err
 	}
-	// Publish the whole accepted run under the ingest lock; views
-	// coalesce per window, so a batch spanning a window boundary still
-	// emits one delta per completed window, not per chunk.
+	if err := s.tree.AppendBatch(start, digests, ops); err != nil {
+		return err
+	}
+	// Still under the ingest lock: live views see exactly the append
+	// order, one publish per committed chunk. Views coalesce per window,
+	// so a run spanning a window boundary still emits one delta per
+	// completed window, not per chunk.
 	for x, digest := range digests {
 		e.subs.Publish(uuid, start+uint64(x), digest)
 	}
-	var gcOps []kv.Op
-	for x, i := range run {
-		seqs, err := e.takeStaged(uuid, s, start+uint64(x))
-		if err != nil {
-			errs[i] = err
-			continue
-		}
-		for _, seq := range seqs {
-			gcOps = append(gcOps, kv.Op{Kind: kv.OpDelete, Key: stagedKey(uuid, start+uint64(x), seq)})
-		}
+	s.stagedMu.Lock()
+	for i := start; i < start+uint64(len(blobs)); i++ {
+		delete(s.staged, i)
 	}
-	if len(gcOps) > 0 {
-		if err := e.store.Batch(gcOps); err != nil {
-			return fail(err)
-		}
-	}
-	return errs
+	s.stagedMu.Unlock()
+	return nil
 }
 
 // loadStagedLocked rebuilds the staged-record index from the store on the
@@ -555,26 +536,24 @@ func (e *Engine) loadStagedLocked(uuid string, s *stream) error {
 	return nil
 }
 
-// takeStaged removes and returns the staged sequence numbers of one chunk,
-// sorted.
-func (e *Engine) takeStaged(uuid string, s *stream, chunkIndex uint64) ([]uint64, error) {
+// appendStagedDeletes appends a delete op for every staged record of
+// chunks [from, to), in sequence order. The staged index names their exact
+// keys, so no store scan is needed; it keeps the entries until the caller's
+// batch commits.
+func (e *Engine) appendStagedDeletes(ops []kv.Op, uuid string, s *stream, from, to uint64) ([]kv.Op, error) {
 	s.stagedMu.Lock()
 	defer s.stagedMu.Unlock()
 	if err := e.loadStagedLocked(uuid, s); err != nil {
-		return nil, err
+		return ops, err
 	}
-	set := s.staged[chunkIndex]
-	if len(set) == 0 {
-		delete(s.staged, chunkIndex)
-		return nil, nil
+	for i := from; i < to; i++ {
+		if set := s.staged[i]; len(set) > 0 {
+			for _, seq := range slices.Sorted(maps.Keys(set)) {
+				ops = append(ops, kv.Op{Kind: kv.OpDelete, Key: stagedKey(uuid, i, seq)})
+			}
+		}
 	}
-	delete(s.staged, chunkIndex)
-	seqs := make([]uint64, 0, len(set))
-	for seq := range set {
-		seqs = append(seqs, seq)
-	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-	return seqs, nil
+	return ops, nil
 }
 
 // StageRecord stores one real-time encrypted record ahead of its chunk.
@@ -815,6 +794,10 @@ func (e *Engine) aggregate(ctx context.Context, uuids []string, ts, te int64, wi
 	return a, b, windows, nil
 }
 
+// ctxStep is how many chunks DeleteRange and Rollup handle between
+// context checks; each step's writes go to the store as one batch.
+const ctxStep = 256
+
 // DeleteRange drops chunk payloads in [ts, te) while keeping digests and
 // the index intact (Table 1 #7).
 func (e *Engine) DeleteRange(ctx context.Context, uuid string, ts, te int64) error {
@@ -826,33 +809,25 @@ func (e *Engine) DeleteRange(ctx context.Context, uuid string, ts, te int64) err
 	if err != nil {
 		return err
 	}
-	for i := a; i < b; i++ {
-		if (i-a)%256 == 0 {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-		}
+	return e.batchSteps(ctx, a, b, func(ops []kv.Op, i uint64) ([]kv.Op, error) {
 		key := chunkKey(uuid, i)
 		data, err := e.store.Get(key)
 		if errors.Is(err, kv.ErrNotFound) {
-			continue
+			return ops, nil
 		}
 		if err != nil {
-			return err
+			return ops, err
 		}
 		sealed, err := chunk.UnmarshalSealed(data)
 		if err != nil {
-			return err
+			return ops, err
 		}
 		if len(sealed.Payload) == 0 {
-			continue
+			return ops, nil
 		}
 		sealed.Payload = nil
-		if err := e.store.Put(key, chunk.MarshalSealed(sealed)); err != nil {
-			return err
-		}
-	}
-	return nil
+		return append(ops, kv.Op{Kind: kv.OpPut, Key: key, Value: chunk.MarshalSealed(sealed)}), nil
+	})
 }
 
 // Rollup ages out [ts, te) to an aggregation granularity of factor chunks:
@@ -871,15 +846,11 @@ func (e *Engine) Rollup(ctx context.Context, uuid string, factor uint64, ts, te 
 	if err != nil {
 		return err
 	}
-	for i := a; i < b; i++ {
-		if (i-a)%256 == 0 {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-		}
-		if err := e.store.Delete(chunkKey(uuid, i)); err != nil {
-			return err
-		}
+	err = e.batchSteps(ctx, a, b, func(ops []kv.Op, i uint64) ([]kv.Op, error) {
+		return append(ops, kv.Op{Kind: kv.OpDelete, Key: chunkKey(uuid, i)}), nil
+	})
+	if err != nil {
+		return err
 	}
 	// Prune index levels whose span is finer than the rollup factor.
 	level := 0
@@ -891,6 +862,29 @@ func (e *Engine) Rollup(ctx context.Context, uuid string, factor uint64, ts, te 
 	}
 	if level > 0 {
 		return s.tree.Prune(level, a, b)
+	}
+	return nil
+}
+
+// batchSteps walks chunks [a, b) in steps of ctxStep: it checks ctx, lets
+// add append each chunk's ops, and commits the step's ops as one store
+// batch.
+func (e *Engine) batchSteps(ctx context.Context, a, b uint64, add func(ops []kv.Op, i uint64) ([]kv.Op, error)) error {
+	var ops []kv.Op
+	for step := a; step < b; step += ctxStep {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		ops = ops[:0]
+		for i := step; i < min(b, step+ctxStep); i++ {
+			var err error
+			if ops, err = add(ops, i); err != nil {
+				return err
+			}
+		}
+		if err := e.store.Batch(ops); err != nil {
+			return err
+		}
 	}
 	return nil
 }
