@@ -8,6 +8,7 @@ package timecrypt_test
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/chunk"
@@ -167,6 +168,31 @@ func TestHotPathAllocBudgets(t *testing.T) {
 			t.Errorf("InsertChunk: %.1f allocs/chunk, budget %d", allocs, budget)
 		}
 	})
+	t.Run("seal-zlib", func(t *testing.T) {
+		// Bytes, not allocation count: the default codec's cost was one
+		// ~800 KB zlib writer per chunk, a single allocation. The budget
+		// leaves room for a writer rebuilt after a GC.
+		const budget = 16 << 10
+		const runs = 500
+		spec := hotSpec(t)
+		enc := hotEncryptor(t)
+		seal := func(pos uint64) {
+			start := int64(pos) * 100
+			if _, err := chunk.Seal(enc, spec, chunk.CompressionZlib, pos, start, start+100, hotPoints(pos)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		seal(0)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for pos := uint64(1); pos <= runs; pos++ {
+			seal(pos)
+		}
+		runtime.ReadMemStats(&after)
+		if perSeal := (after.TotalAlloc - before.TotalAlloc) / runs; perSeal > budget {
+			t.Errorf("zlib Seal: %d bytes/chunk, budget %d", perSeal, budget)
+		}
+	})
 }
 
 // BenchmarkHotPath is the per-layer micro-benchmark suite backing
@@ -201,6 +227,20 @@ func BenchmarkHotPath(b *testing.B) {
 			pos := uint64(i)
 			start := int64(pos) * 100
 			if _, err := chunk.Seal(enc, spec, chunk.CompressionNone, pos, start, start+100, hotPoints(pos)); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+
+	b.Run("chunk-seal-zlib", func(b *testing.B) {
+		enc := hotEncryptor(b)
+		spec := hotSpec(b)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			pos := uint64(i)
+			start := int64(pos) * 100
+			if _, err := chunk.Seal(enc, spec, chunk.CompressionZlib, pos, start, start+100, hotPoints(pos)); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -5,6 +5,8 @@ import (
 	"compress/zlib"
 	"fmt"
 	"io"
+	"sync"
+	"weak"
 )
 
 // Compression selects the lossless codec applied to a chunk's serialized
@@ -50,6 +52,39 @@ func ParseCompression(s string) (Compression, error) {
 // decompression bombs from a malicious store.
 const maxDecompressed = 64 << 20
 
+// weakPool caches values between calls without keeping any of them alive
+// across a garbage collection: it pools weak pointers, so a collection
+// frees every idle value instead of sync.Pool's victim cache holding one
+// per P through it. A zlib writer is ~800 KB of compressor state, which
+// a plain sync.Pool would pin into every post-GC heap measurement.
+type weakPool[T any] struct{ pool sync.Pool }
+
+// get returns a cached value, or nil when the pool is empty or the
+// collector already reclaimed what it held.
+func (p *weakPool[T]) get() *T {
+	if w, ok := p.pool.Get().(weak.Pointer[T]); ok {
+		return w.Value()
+	}
+	return nil
+}
+
+// put caches v for a later get. The caller must be done with v.
+func (p *weakPool[T]) put(v *T) { p.pool.Put(weak.Make(v)) }
+
+// zlibWriters holds reset-able writers at zlib.DefaultCompression, the
+// level zlib.NewWriter uses, so a reused writer emits the same bytes.
+var zlibWriters weakPool[zlib.Writer]
+
+// zlibReader pairs a reusable zlib reader with the bytes.Reader it reads
+// from. The reader's concrete type is unexported, so the pool holds this
+// wrapper.
+type zlibReader struct {
+	src bytes.Reader
+	zr  io.ReadCloser // implements zlib.Resetter
+}
+
+var zlibReaders weakPool[zlibReader]
+
 // Compress encodes data with the codec.
 func Compress(c Compression, data []byte) ([]byte, error) {
 	switch c {
@@ -59,13 +94,19 @@ func Compress(c Compression, data []byte) ([]byte, error) {
 		return out, nil
 	case CompressionZlib:
 		var buf bytes.Buffer
-		zw := zlib.NewWriter(&buf)
+		zw := zlibWriters.get()
+		if zw == nil {
+			zw = zlib.NewWriter(&buf)
+		} else {
+			zw.Reset(&buf)
+		}
 		if _, err := zw.Write(data); err != nil {
 			return nil, err
 		}
 		if err := zw.Close(); err != nil {
 			return nil, err
 		}
+		zlibWriters.put(zw)
 		return buf.Bytes(), nil
 	default:
 		return nil, fmt.Errorf("chunk: unknown compression %d", c)
@@ -80,18 +121,29 @@ func Decompress(c Compression, data []byte) ([]byte, error) {
 		copy(out, data)
 		return out, nil
 	case CompressionZlib:
-		zr, err := zlib.NewReader(bytes.NewReader(data))
+		r := zlibReaders.get()
+		if r == nil {
+			r = new(zlibReader)
+		}
+		r.src.Reset(data)
+		var err error
+		if r.zr == nil {
+			r.zr, err = zlib.NewReader(&r.src)
+		} else {
+			err = r.zr.(zlib.Resetter).Reset(&r.src, nil)
+		}
 		if err != nil {
 			return nil, fmt.Errorf("chunk: zlib: %w", err)
 		}
-		defer zr.Close()
-		out, err := io.ReadAll(io.LimitReader(zr, maxDecompressed+1))
+		out, err := io.ReadAll(io.LimitReader(r.zr, maxDecompressed+1))
+		r.zr.Close()
 		if err != nil {
 			return nil, fmt.Errorf("chunk: zlib: %w", err)
 		}
 		if len(out) > maxDecompressed {
 			return nil, fmt.Errorf("chunk: decompressed payload exceeds %d bytes", maxDecompressed)
 		}
+		zlibReaders.put(r)
 		return out, nil
 	default:
 		return nil, fmt.Errorf("chunk: unknown compression %d", c)
